@@ -66,7 +66,6 @@ func run(args []string) error {
 	top := fs.Int("top", 10, "words to print per window")
 	backendName := fs.String("backend", "auto", "aggregation backend: auto, daba, rotating, coalescing, folding, randomized-folding, strawman, fingertree")
 	lateness := fs.Int("lateness", 0, "accepted bucket lateness for out-of-order arrivals (>0 selects the fingertree backend)")
-	switchPolicy := fs.String("switch-policy", "", "live backend-switch policy over the contract-phase latency, e.g. p95:high=20ms,low=5ms,n=3 (fixed windows only; empty = off)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /debug/pprof, /debug/slides, /debug/tree and /debug/trace on this address (empty = no server)")
 	statsEvery := fs.Int("stats", 10, "print a runtime stats line every N windows (0 = never)")
 	workerAddrs := fs.String("workers", "", "comma-separated slider-worker addresses to run the map phase on (empty = in-process)")
@@ -74,10 +73,6 @@ func run(args []string) error {
 		return err
 	}
 	backend, err := slider.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-	switchHook, err := slider.ParseSwitchPolicy(*switchPolicy)
 	if err != nil {
 		return err
 	}
@@ -155,7 +150,7 @@ func run(args []string) error {
 		return nil
 	}
 
-	rtCfg := slider.Config{Obs: so, Backend: backend, SwitchHook: switchHook,
+	rtCfg := slider.Config{Obs: so, Backend: backend,
 		AllowedLateness: *lateness, Faults: faults}
 	if pool != nil {
 		rtCfg.MapRunner = pool

@@ -513,7 +513,9 @@ func Figure12(s Scale, appList []App) ([]Figure12Result, string, error) {
 		for _, removePct := range []int{25, 50} {
 			measure := func(randomized bool) (core.Stats, error) {
 				cfg := modeConfig(sliderrt.Variable, sliderrt.SelfAdjusting, 0, w, s.Cluster.Nodes)
-				cfg.Randomized = randomized
+				if randomized {
+					cfg.Backend = sliderrt.BackendRandomizedFolding
+				}
 				cfg.Seed = 17
 				// Disable the fallback rebuild so the data structures
 				// themselves are compared (the paper's Figure 12).

@@ -23,6 +23,10 @@
 //   - StrawmanTree (§2): the memoization-only balanced tree used as the
 //     evaluation baseline.
 //
+// Beside them sit DabaLite (O(1) in-order fixed windows) and FingerTree
+// (out-of-order fixed windows). All seven are driven through one Window
+// interface (window.go).
+//
 // Trees are generic over the payload type T. Payloads are treated as
 // immutable values: merge functions must return fresh payloads and never
 // mutate their arguments, because nodes share payloads across runs.

@@ -64,11 +64,6 @@ func NewFingerTree[T any](merge MergeFunc[T]) *FingerTree[T] {
 	return &FingerTree[T]{merge: merge}
 }
 
-// SetParallelism is a no-op: every operation touches one root path with
-// strict sequential dependencies. Present so the runtime can treat all
-// backends uniformly.
-func (t *FingerTree[T]) SetParallelism(par int) {}
-
 // SetBuggify installs fault-injection points (simulation harness
 // self-tests only).
 func (t *FingerTree[T]) SetBuggify(b Buggify) { t.bug = b }
@@ -258,10 +253,6 @@ func (t *FingerTree[T]) Root() (T, bool) {
 
 // Len returns the number of live buckets.
 func (t *FingerTree[T]) Len() int { return tsize(t.root) }
-
-// Buckets returns the number of live buckets (the finger tree has no
-// fixed capacity; its width is whatever the window currently holds).
-func (t *FingerTree[T]) Buckets() int { return t.Len() }
 
 // Height returns the treap depth in edges (expected O(log w) by the
 // deterministic priority stream's uniformity).

@@ -31,9 +31,9 @@ type RandomizedFoldingTree[T any] struct {
 	stats  Stats
 }
 
-// Item is a leaf of a randomized folding tree: a stable identity plus its
-// payload. IDs must be unique among live leaves and must not be reused for
-// different content.
+// Item is a leaf of a randomized folding or strawman tree, and the unit a
+// Window takes: a stable identity plus its payload. IDs must be unique
+// among live leaves and must not be reused for different content.
 type Item[T any] struct {
 	// ID is the leaf's stable identity (e.g. the split sequence number).
 	ID uint64

@@ -200,9 +200,6 @@ func (t *RotatingTree[T]) Root() (T, bool) {
 	return t.nodes[0].payload, true
 }
 
-// Buckets returns the number of buckets in the window.
-func (t *RotatingTree[T]) Buckets() int { return t.n }
-
 // Height returns the tree height.
 func (t *RotatingTree[T]) Height() int { return t.height }
 

@@ -17,9 +17,8 @@ import (
 type PipelineConfig struct {
 	// Mode is the sliding-window variant of the first stage.
 	Mode sliderrt.Mode
-	// Randomized, SplitProcessing, BucketSplits, WindowBuckets mirror
+	// SplitProcessing, BucketSplits, WindowBuckets mirror
 	// sliderrt.Config for the first stage.
-	Randomized      bool
 	SplitProcessing bool
 	BucketSplits    int
 	WindowBuckets   int
@@ -77,7 +76,6 @@ func NewPipeline(plan *Plan, cfg PipelineConfig) (*Pipeline, error) {
 	}
 	rt, err := sliderrt.New(plan.Stages[0].Job, sliderrt.Config{
 		Mode:            cfg.Mode,
-		Randomized:      cfg.Randomized,
 		SplitProcessing: cfg.SplitProcessing,
 		BucketSplits:    cfg.BucketSplits,
 		WindowBuckets:   cfg.WindowBuckets,

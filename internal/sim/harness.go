@@ -96,12 +96,12 @@ func Run(tr Trace, opt Options) error {
 	return runTree(tr, opt)
 }
 
-// runTree drives the trace through one tree driver per parallelism level.
+// runTree drives the trace through one window per parallelism level.
 func runTree(tr Trace, opt Options) error {
 	pars := opt.pars()
-	drivers := make([]treeDriver, len(pars))
+	replicas := make([]core.Window[pay], len(pars))
 	for i, par := range pars {
-		drivers[i] = newTreeDriver(tr.Kind, par, opt.Buggify)
+		replicas[i] = newWindow(tr.Kind, tr.Initial, par, opt.Buggify)
 	}
 	fail := func(step int, check, format string, args ...any) *CheckError {
 		return &CheckError{Trace: tr, Step: step, Check: check, Msg: fmt.Sprintf(format, args...)}
@@ -119,33 +119,39 @@ func runTree(tr Trace, opt Options) error {
 	}
 
 	initIDs := takeIDs(tr.Initial)
-	for _, d := range drivers {
-		if err := d.init(initIDs); err != nil {
+	for _, d := range replicas {
+		if err := d.Build(items(initIDs)); err != nil {
 			return fail(-1, "init", "%v", err)
+		}
+		if err := background(d); err != nil {
+			return fail(-1, "init", "background: %v", err)
 		}
 	}
 	window = initIDs
-	if err := checkStep(tr, -1, drivers, pars, window); err != nil {
+	if err := checkStep(tr, -1, replicas, pars, window); err != nil {
 		return err
 	}
 
-	prevStats := drivers[0].stats()
+	prevStats := replicas[0].Stats()
 	for step, op := range tr.Ops {
 		switch op.Kind {
 		case OpSlide:
 			drop, add := clampSlide(tr.Kind, op, len(window))
 			ids := takeIDs(add)
-			for _, d := range drivers {
-				if err := d.slide(drop, ids); err != nil {
+			for _, d := range replicas {
+				if err := d.Slide(drop, items(ids)); err != nil {
 					return fail(step, "slide", "drop=%d add=%d: %v", drop, add, err)
+				}
+				if err := background(d); err != nil {
+					return fail(step, "slide", "background: %v", err)
 				}
 			}
 			window = append(window[drop:], ids...)
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, replicas, pars, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
-				cur := drivers[0].stats()
+				cur := replicas[0].Stats()
 				merges := cur.Merges - prevStats.Merges
 				if limit := mergeBound(tr.Kind, drop, add, len(window)); merges > limit {
 					return fail(step, "work-bound",
@@ -154,28 +160,28 @@ func runTree(tr Trace, opt Options) error {
 				}
 			}
 		case OpCheckpoint:
-			for i, d := range drivers {
-				snap := d.checkpoint()
-				if err := d.restore(snap); err != nil {
+			for i, d := range replicas {
+				snap := d.Snapshot()
+				if err := d.Restore(snap); err != nil {
 					return fail(step, "restore", "in-place: %v", err)
 				}
-				fresh := newTreeDriver(tr.Kind, pars[i], opt.Buggify)
-				if err := fresh.restore(snap); err != nil {
+				fresh := newWindow(tr.Kind, tr.Initial, pars[i], opt.Buggify)
+				if err := fresh.Restore(snap); err != nil {
 					return fail(step, "restore", "fresh: %v", err)
 				}
 				// A restored tree must be indistinguishable from a tree
 				// freshly restored from the same checkpoint: same
 				// structure, same work counters.
-				if got, want := d.fingerprint(), fresh.fingerprint(); got != want {
+				if got, want := d.FingerprintWith(pfp), fresh.FingerprintWith(pfp); got != want {
 					return fail(step, "restore-fingerprint",
 						"par=%d in-place restore fingerprint %#x != fresh restore %#x", pars[i], got, want)
 				}
-				if got, want := d.stats(), fresh.stats(); got != want {
+				if got, want := d.Stats(), fresh.Stats(); got != want {
 					return fail(step, "restore-stats",
 						"par=%d in-place restore stats %+v != fresh restore %+v", pars[i], got, want)
 				}
 			}
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, replicas, pars, window); err != nil {
 				return err
 			}
 		case OpLateAppend:
@@ -185,8 +191,8 @@ func runTree(tr Trace, opt Options) error {
 			late := clampLateness(op.Pos, len(window))
 			pos := len(window) - late
 			id := takeIDs(1)[0]
-			for _, d := range drivers {
-				if err := d.(oooTreeDriver).lateInsert(pos, id); err != nil {
+			for _, d := range replicas {
+				if err := d.(core.OutOfOrderWindow[pay]).InsertAt(pos, pay{id}); err != nil {
 					return fail(step, "late-append", "pos=%d (lateness %d): %v", pos, late, err)
 				}
 			}
@@ -195,11 +201,11 @@ func runTree(tr Trace, opt Options) error {
 			nw = append(nw, id)
 			nw = append(nw, window[pos:]...)
 			window = nw
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, replicas, pars, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
+				merges := replicas[0].Stats().Merges - prevStats.Merges
 				if limit := bulkMergeBound(1, len(window)); merges > limit {
 					return fail(step, "bulk-bound",
 						"late append at window=%d performed %d merges, bound %d", len(window), merges, limit)
@@ -213,17 +219,17 @@ func runTree(tr Trace, opt Options) error {
 			if k == 0 {
 				break
 			}
-			for _, d := range drivers {
-				if err := d.(oooTreeDriver).bulkEvict(k); err != nil {
+			for _, d := range replicas {
+				if err := d.(core.OutOfOrderWindow[pay]).BulkEvict(k); err != nil {
 					return fail(step, "bulk-evict", "k=%d: %v", k, err)
 				}
 			}
 			window = window[k:]
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, replicas, pars, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
+				merges := replicas[0].Stats().Merges - prevStats.Merges
 				if limit := bulkMergeBound(k, len(window)); merges > limit {
 					return fail(step, "bulk-bound",
 						"bulk evict k=%d window=%d performed %d merges, bound %d", k, len(window), merges, limit)
@@ -238,17 +244,17 @@ func runTree(tr Trace, opt Options) error {
 				break
 			}
 			ids := takeIDs(k)
-			for _, d := range drivers {
-				if err := d.(oooTreeDriver).bulkInsert(ids); err != nil {
+			for _, d := range replicas {
+				if err := d.(core.OutOfOrderWindow[pay]).BulkInsert(singletons(ids)); err != nil {
 					return fail(step, "bulk-insert", "k=%d: %v", k, err)
 				}
 			}
 			window = append(window, ids...)
-			if err := checkStep(tr, step, drivers, pars, window); err != nil {
+			if err := checkStep(tr, step, replicas, pars, window); err != nil {
 				return err
 			}
 			if !opt.NoBounds {
-				merges := drivers[0].stats().Merges - prevStats.Merges
+				merges := replicas[0].Stats().Merges - prevStats.Merges
 				if limit := bulkMergeBound(k, len(window)); merges > limit {
 					return fail(step, "bulk-bound",
 						"bulk insert k=%d window=%d performed %d merges, bound %d", k, len(window), merges, limit)
@@ -258,7 +264,7 @@ func runTree(tr Trace, opt Options) error {
 			OpWorkerCrash, OpWorkerRestart, OpWorkerDelay, OpWorkerDrop, OpWorkerCorrupt:
 			// Memo- and dist-layer events; nothing to do at the tree layer.
 		}
-		prevStats = drivers[0].stats()
+		prevStats = replicas[0].Stats()
 	}
 	return nil
 }
@@ -339,24 +345,24 @@ func clampBulkInsert(k, live int) int {
 
 // checkStep verifies the root against the from-scratch oracle and the
 // cross-parallelism parity of fingerprints and work counters.
-func checkStep(tr Trace, step int, drivers []treeDriver, pars []int, window []uint64) error {
-	if err := checkOracle(tr, step, drivers[0], window); err != nil {
+func checkStep(tr Trace, step int, replicas []core.Window[pay], pars []int, window []uint64) error {
+	if err := checkOracle(tr, step, replicas[0], window); err != nil {
 		return err
 	}
 	// Query every replica's root before comparing counters: some
 	// structures do work at query time (DABA combines the front with the
 	// back sum), and checkOracle only queried replica 0.
-	for i := 1; i < len(drivers); i++ {
-		drivers[i].root()
+	for i := 1; i < len(replicas); i++ {
+		rootOf(replicas[i])
 	}
-	fp0 := drivers[0].fingerprint()
-	st0 := drivers[0].stats()
-	for i := 1; i < len(drivers); i++ {
-		if fp := drivers[i].fingerprint(); fp != fp0 {
+	fp0 := replicas[0].FingerprintWith(pfp)
+	st0 := replicas[0].Stats()
+	for i := 1; i < len(replicas); i++ {
+		if fp := replicas[i].FingerprintWith(pfp); fp != fp0 {
 			return &CheckError{Trace: tr, Step: step, Check: "par-fingerprint",
 				Msg: fmt.Sprintf("par=%d fingerprint %#x != par=%d fingerprint %#x", pars[i], fp, pars[0], fp0)}
 		}
-		if st := drivers[i].stats(); st != st0 {
+		if st := replicas[i].Stats(); st != st0 {
 			return &CheckError{Trace: tr, Step: step, Check: "par-stats",
 				Msg: fmt.Sprintf("par=%d stats %+v != par=%d stats %+v", pars[i], st, pars[0], st0)}
 		}
@@ -382,9 +388,9 @@ func oracleRoot(window []uint64) pay {
 // Rotating trees reorder bucket age relative to tree position (their
 // merge must be commutative), so their root is compared as a multiset;
 // every other tree must reproduce the window sequence exactly.
-func checkOracle(tr Trace, step int, d treeDriver, window []uint64) error {
+func checkOracle(tr Trace, step int, d core.Window[pay], window []uint64) error {
 	want := oracleRoot(window)
-	got, ok := d.root()
+	got, ok := rootOf(d)
 	if len(window) == 0 {
 		if ok {
 			return &CheckError{Trace: tr, Step: step, Check: "oracle",
@@ -435,9 +441,9 @@ func mergeBound(kind Kind, drop, add, liveAfter int) int64 {
 		// slide plus one root query — no log factor at all.
 		return 8 * (delta + 1)
 	case FingerTree:
-		// One treap root path per in-order evict/insert pair: the driver
-		// slides bucket-by-bucket, so delta single O(log w) slides. (The
-		// bulk ops get the tighter no-log-factor bulkMergeBound instead.)
+		// A slide is one bulk evict plus one bulk insert, within delta
+		// single O(log w) slides. (The out-of-order bulk ops get the
+		// tighter no-log-factor bulkMergeBound instead.)
 		return 8*(delta+1)*h + 32
 	case Randomized:
 		// Expected O(log) per changed path; generous constant for the

@@ -100,7 +100,7 @@ func runtimeConfig(tr Trace, par int, gcAll *bool) (sliderrt.Config, error) {
 		cfg.Mode = sliderrt.Variable
 	case Randomized:
 		cfg.Mode = sliderrt.Variable
-		cfg.Randomized = true
+		cfg.Backend = sliderrt.BackendRandomizedFolding
 	case Rotating, RotatingSplit:
 		cfg.Mode = sliderrt.Fixed
 		// Pin the rotating tree explicitly: backend auto-selection would

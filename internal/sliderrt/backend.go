@@ -3,8 +3,8 @@ package sliderrt
 import (
 	"fmt"
 
+	"slider/internal/core"
 	"slider/internal/mapreduce"
-	"slider/internal/metrics"
 )
 
 // Backend names the aggregation structure behind a runtime's reduce
@@ -24,8 +24,6 @@ import (
 //	Fixed     yes              no           → error
 //	Append    —                any          → BackendCoalescing
 //	Variable  —                any          → BackendFolding
-//	                                          (BackendRandomizedFolding
-//	                                          with Config.Randomized)
 //	Engine Strawman              any        → BackendStrawman
 //
 // An explicit Backend overrides the auto pick but is still validated
@@ -107,9 +105,7 @@ func ParseBackend(s string) (Backend, error) {
 
 // resolveBackend maps the configuration and the job's declared combiner
 // properties to a concrete backend, validating an explicit override
-// against both. It normalizes Config.Randomized when the randomized
-// backend is chosen explicitly, so downstream consumers (checkpoints)
-// see a consistent flag.
+// against both.
 func (c *Config) resolveBackend(job *mapreduce.Job) (Backend, error) {
 	if c.Engine == Strawman {
 		switch c.Backend {
@@ -127,18 +123,9 @@ func (c *Config) resolveBackend(job *mapreduce.Job) (Backend, error) {
 		return 0, fmt.Errorf("%w: Append mode requires the coalescing backend, not %v", ErrBadBackend, c.Backend)
 	case Variable:
 		switch c.Backend {
-		case BackendAuto:
-			if c.Randomized {
-				return BackendRandomizedFolding, nil
-			}
-			return BackendFolding, nil
-		case BackendFolding:
-			if c.Randomized {
-				return 0, fmt.Errorf("%w: Config.Randomized conflicts with explicit backend %v", ErrBadBackend, c.Backend)
-			}
+		case BackendAuto, BackendFolding:
 			return BackendFolding, nil
 		case BackendRandomizedFolding:
-			c.Randomized = true
 			return BackendRandomizedFolding, nil
 		}
 		return 0, fmt.Errorf("%w: Variable mode requires a folding backend, not %v", ErrBadBackend, c.Backend)
@@ -193,81 +180,42 @@ func (c *Config) resolveBackend(job *mapreduce.Job) (Backend, error) {
 	return 0, ErrBadMode
 }
 
-// Backend reports the resolved — possibly live-switched — backend.
+// Backend reports the resolved backend.
 func (rt *Runtime) Backend() Backend { return rt.backend }
 
-// maybeSwitchBackend consults the live-switch hook at the end of a
-// completed slide. The hook sees the current backend and a snapshot of
-// the contract-phase latency histogram (PR 5's obs layer) and returns
-// the backend it wants; the runtime follows it only across the legal
-// Fixed-mode pair (daba ↔ rotating, subject to the same property gates
-// as resolveBackend) and rebuilds the partition structures in place
-// from their raw buckets. Running after the slide's stats deltas are
-// taken keeps per-run TreeStats exact: the next slide reads a fresh
-// baseline.
-func (rt *Runtime) maybeSwitchBackend() {
-	hook := rt.cfg.SwitchHook
-	if hook == nil || rt.cfg.Mode != Fixed || rt.cfg.Engine != SelfAdjusting || rt.hasPending {
-		return
-	}
-	var contract metrics.HistogramSnapshot
-	if o := rt.cfg.Obs; o != nil {
-		contract = o.Contract.Snapshot()
-	}
-	want := hook(rt.backend, contract)
-	if want == rt.backend || (want != BackendDaba && want != BackendRotating) {
-		return
-	}
-	c2 := rt.cfg
-	c2.Backend = want
-	if _, err := c2.resolveBackend(rt.job); err != nil {
-		return // illegal target (non-commutative combiner, split mode): stay put
-	}
-	rt.rebuildFixedBackend(want)
-}
-
-// rebuildFixedBackend re-homes every partition's window onto the target
-// Fixed-mode backend, carrying the raw buckets over in window order
-// (oldest first). Tree work counters restart with the rebuild, exactly
-// as on a checkpoint restore.
-func (rt *Runtime) rebuildFixedBackend(want Backend) {
-	buckets := make([][]Payload, rt.parts)
-	for p := 0; p < rt.parts; p++ {
+// newWindows builds one window per partition for the resolved backend,
+// each wired to its share of the parallelism budget so partition-level
+// and intra-tree concurrency compose. Coalescing windows have no internal
+// levels: their fold-up of new splits is parallelized in foldPayloads.
+func (rt *Runtime) newWindows() []core.Window[Payload] {
+	treePar := rt.treeParallelism()
+	rt.combines = make([]int64, rt.parts)
+	windows := make([]core.Window[Payload], rt.parts)
+	for p := range windows {
+		merge := rt.mergeFor(p)
 		switch rt.backend {
+		case BackendStrawman:
+			windows[p] = core.NewStrawmanWindow(merge, treePar)
+		case BackendCoalescing:
+			fold := func(ps []Payload) Payload { return rt.foldPayloads(p, ps) }
+			windows[p] = core.NewCoalescingWindow(merge, fold, rt.cfg.SplitProcessing)
 		case BackendDaba:
-			bs, ok := rt.daba[p].BucketPayloads()
-			if !ok {
-				return
-			}
-			buckets[p] = bs
+			windows[p] = core.NewDabaWindow(merge, rt.cfg.WindowBuckets)
+		case BackendFingerTree:
+			windows[p] = core.NewFingerWindow(merge, core.BuggifyNone)
 		case BackendRotating:
-			bs, ok := rt.rot[p].BucketPayloads()
-			if !ok {
-				return
+			windows[p] = core.NewRotatingWindow(merge, rt.cfg.WindowBuckets, treePar, rt.cfg.SplitProcessing, core.BuggifyNone)
+		case BackendRandomizedFolding:
+			windows[p] = core.NewRandomizedWindow(merge, rt.cfg.Seed+uint64(p)+1, treePar)
+		default: // BackendFolding
+			opts := []core.FoldingOption[Payload]{core.WithParallelism[Payload](treePar)}
+			if factor := rt.cfg.RebuildFactor; factor < 0 {
+				opts = append(opts, core.WithRebuildFactor[Payload](0))
+			} else if factor > 0 {
+				opts = append(opts, core.WithRebuildFactor[Payload](factor))
 			}
-			// Leaf-position order → window order: the victim is the
-			// oldest bucket.
-			v := rt.rot[p].Victim()
-			buckets[p] = append(append([]Payload{}, bs[v:]...), bs[:v]...)
-		default:
-			return
+			windows[p] = core.NewFoldingWindow(merge, opts...)
 		}
 	}
-	rt.backend = want
-	rt.allocTrees()
-	for p := 0; p < rt.parts; p++ {
-		switch want {
-		case BackendDaba:
-			if err := rt.daba[p].Restore(buckets[p]); err != nil {
-				panic(fmt.Sprintf("sliderrt: backend switch rebuild: %v", err))
-			}
-		case BackendRotating:
-			// Window-order buckets with victim 0: leaf 0 holds the
-			// oldest bucket and is replaced by the next slide.
-			if err := rt.rot[p].RestoreAt(buckets[p], 0); err != nil {
-				panic(fmt.Sprintf("sliderrt: backend switch rebuild: %v", err))
-			}
-		}
-	}
-	rt.snapReq.Store(true)
+	return windows
 }

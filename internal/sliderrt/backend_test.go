@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"slider/internal/mapreduce"
-	"slider/internal/metrics"
 )
 
 // concatJob is associative but NOT commutative: it joins every line in
@@ -119,117 +118,6 @@ func TestDabaBeatsRotatingMergeCount(t *testing.T) {
 	// Worst case ≤ 6 combines per bucket slide per partition.
 	if max := int64(8 * 6 * job.Partitions); daba > max {
 		t.Fatalf("daba merges (%d) exceed the constant bound %d", daba, max)
-	}
-}
-
-// TestBackendLiveSwitch drives the SwitchHook across the legal Fixed-mode
-// pair in both directions, checking outputs against scratch throughout,
-// and that a checkpoint taken after a switch restores onto the switched
-// backend under BackendAuto.
-func TestBackendLiveSwitch(t *testing.T) {
-	job := wordCountJob()
-	var want Backend = BackendDaba
-	hookCalls := 0
-	cfg := Config{
-		Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig(),
-		Obs: metrics.NewSlideObs(),
-		SwitchHook: func(cur Backend, contract metrics.HistogramSnapshot) Backend {
-			hookCalls++
-			return want
-		},
-	}
-	rt, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, 8, 4, 7)
-	next := 8
-	if _, err := rt.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	advance := func() {
-		t.Helper()
-		add := genSplits(next, 2, 4, 7)
-		next += 2
-		res, err := rt.Advance(2, add)
-		if err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[2:], add...)
-		wantSameOutput(t, res.Output, scratch(t, job, window))
-	}
-	advance()
-	if rt.Backend() != BackendDaba || hookCalls == 0 {
-		t.Fatalf("backend = %v after %d hook calls, want daba", rt.Backend(), hookCalls)
-	}
-	want = BackendRotating
-	advance() // hook fires at the end: switch happens after this slide
-	if rt.Backend() != BackendRotating {
-		t.Fatalf("backend = %v, want rotating after switch", rt.Backend())
-	}
-	advance() // a full slide on the rotating tree
-
-	// A checkpoint taken now records the switched backend; restore under
-	// BackendAuto must follow it.
-	var buf bytes.Buffer
-	if err := rt.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkpointWindow := append([]mapreduce.Split{}, window...)
-	restoreCfg := cfg
-	restoreCfg.SwitchHook = nil
-	restored, err := Restore(wordCountJob(), restoreCfg, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Backend() != BackendRotating {
-		t.Fatalf("restored backend = %v, want rotating from checkpoint", restored.Backend())
-	}
-
-	want = BackendDaba
-	advance() // switch back
-	if rt.Backend() != BackendDaba {
-		t.Fatalf("backend = %v, want daba after switch back", rt.Backend())
-	}
-	advance()
-
-	// The restored runtime (no hook) stays rotating and agrees with the
-	// scratch oracle when it resumes from the checkpointed window.
-	restWindow := checkpointWindow
-	add := genSplits(next, 2, 4, 7)
-	res, err := restored.Advance(2, add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restWindow = append(restWindow[2:], add...)
-	wantSameOutput(t, res.Output, scratch(t, job, restWindow))
-	if restored.Backend() != BackendRotating {
-		t.Fatalf("restored runtime switched without a hook: %v", restored.Backend())
-	}
-}
-
-// TestBackendLiveSwitchRefusesIllegalTarget: a non-commutative job may
-// never be switched onto the rotating tree, whatever the hook says.
-func TestBackendLiveSwitchRefusesIllegalTarget(t *testing.T) {
-	job := concatJob()
-	cfg := Config{
-		Mode: Fixed, BucketSplits: 1, WindowBuckets: 4, Memo: testMemoConfig(),
-		SwitchHook: func(Backend, metrics.HistogramSnapshot) Backend { return BackendRotating },
-	}
-	rt, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Initial(genSplits(0, 4, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := rt.Advance(1, genSplits(4+i, 1, 2, 3)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if rt.Backend() != BackendDaba {
-		t.Fatalf("non-commutative job switched to %v", rt.Backend())
 	}
 }
 

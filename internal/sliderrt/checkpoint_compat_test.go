@@ -7,197 +7,6 @@ import (
 	"slider/internal/persist"
 )
 
-// downgradeToV1 rewrites a current checkpoint frame into the version-1
-// layout: payload state moved back into the legacy gob map fields, flat
-// byte fields absent, Version 1. This is byte-for-byte what a pre-flat
-// writer produced (gob omits nil fields from the stream), so restoring it
-// exercises the real upgrade path.
-func downgradeToV1(t *testing.T, frame []byte) []byte {
-	t.Helper()
-	var st checkpointState
-	if err := persist.Decode(frame, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != checkpointVersion {
-		t.Fatalf("seed checkpoint version %d, want %d", st.Version, checkpointVersion)
-	}
-	for p := range st.Partitions {
-		pc := &st.Partitions[p]
-		var err error
-		if pc.HasRoot {
-			if pc.Root, err = persist.DecodePayload(pc.FlatRoot); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if pc.HasPending {
-			if pc.Pending, err = persist.DecodePayload(pc.FlatPending); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if pc.FlatBuckets != nil {
-			if pc.Buckets, err = persist.DecodePayloadSet(pc.FlatBuckets); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if pc.FlatLeaves != nil {
-			if pc.LeafPayloads, err = persist.DecodePayloadSet(pc.FlatLeaves); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pc.FlatRoot, pc.FlatPending, pc.FlatBuckets, pc.FlatLeaves = nil, nil, nil, nil
-	}
-	st.Version = 1
-	out, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// v1RoundTrip checkpoints a driven runtime, downgrades the frame to the
-// version-1 layout, restores it, and requires the restored runtime to
-// match both the original and a from-scratch oracle over further slides.
-func v1RoundTrip(t *testing.T, cfg Config, initial int, firstHalf, secondHalf []slide) {
-	t.Helper()
-	job := wordCountJob()
-	cfg.Memo = testMemoConfig()
-	original, err := New(job, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, initial, 4, 7)
-	next := initial
-	if _, err := original.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range firstHalf {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		if _, err := original.Advance(s.drop, add); err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[s.drop:], add...)
-	}
-
-	var buf bytes.Buffer
-	if err := original.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(downgradeToV1(t, buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, s := range secondHalf {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		origRes, err := original.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("original slide %d: %v", i, err)
-		}
-		restRes, err := restored.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("restored slide %d: %v", i, err)
-		}
-		window = append(window[s.drop:], add...)
-		wantSameOutput(t, restRes.Output, origRes.Output)
-		wantSameOutput(t, restRes.Output, scratch(t, job, window))
-	}
-}
-
-func TestRestoreV1Append(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Append}, 4,
-		[]slide{{0, 2}, {0, 1}}, []slide{{0, 3}, {0, 2}})
-}
-
-func TestRestoreV1Fixed(t *testing.T) {
-	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4}
-	v1RoundTrip(t, cfg, 8,
-		[]slide{{2, 2}, {2, 2}}, []slide{{2, 2}, {4, 4}})
-}
-
-func TestRestoreV1VariableFolding(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Variable}, 8,
-		[]slide{{3, 1}, {0, 5}}, []slide{{6, 2}, {1, 0}})
-}
-
-func TestRestoreV1Strawman(t *testing.T) {
-	v1RoundTrip(t, Config{Mode: Variable, Engine: Strawman}, 8,
-		[]slide{{3, 1}}, []slide{{0, 4}})
-}
-
-// TestRestoreV1LegacyVictimIntoDaba is the deepest compatibility path: a
-// true version-1 frame (live map payloads) written by the rotating tree
-// before backends existed — Backend absent (gob zero = BackendAuto),
-// Buckets in leaf-position order, nonzero Victim. Restoring under an auto
-// config must decode the v1 maps AND rotate the buckets into window order
-// for the DABA aggregator, or later slides evict the wrong bucket.
-func TestRestoreV1LegacyVictimIntoDaba(t *testing.T) {
-	job := wordCountJob()
-	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()}
-	rotCfg := cfg
-	rotCfg.Backend = BackendRotating
-	original, err := New(job, rotCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, 8, 4, 7)
-	next := 8
-	if _, err := original.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []slide{{2, 2}, {2, 2}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		if _, err := original.Advance(s.drop, add); err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[s.drop:], add...)
-	}
-
-	var buf bytes.Buffer
-	if err := original.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := downgradeToV1(t, buf.Bytes())
-	var st checkpointState
-	if err := persist.Decode(v1, &st); err != nil {
-		t.Fatal(err)
-	}
-	victims := 0
-	for _, pc := range st.Partitions {
-		if pc.Victim != 0 {
-			victims++
-		}
-	}
-	if victims == 0 {
-		t.Fatal("test needs a nonzero victim cursor to exercise the rotation")
-	}
-	st.Backend = BackendAuto // pre-backend writers had no Backend field
-	frame, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Backend(); got != BackendDaba {
-		t.Fatalf("restored backend = %v, want %v", got, BackendDaba)
-	}
-	for i, s := range []slide{{2, 2}, {2, 2}, {4, 4}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		res, err := restored.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("restored slide %d: %v", i, err)
-		}
-		window = append(window[s.drop:], add...)
-		wantSameOutput(t, res.Output, scratch(t, job, window))
-	}
-}
-
 // TestStateFingerprint pins the canonical-hash contract: identical
 // logical state fingerprints identically across independent runtimes and
 // parallelism levels, a checkpoint/restore round trip preserves the

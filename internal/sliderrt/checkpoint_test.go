@@ -91,7 +91,7 @@ func TestCheckpointVariableFolding(t *testing.T) {
 }
 
 func TestCheckpointVariableRandomized(t *testing.T) {
-	checkpointRoundTrip(t, Config{Mode: Variable, Randomized: true, Seed: 11}, 8,
+	checkpointRoundTrip(t, Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 11}, 8,
 		[]slide{{3, 1}}, []slide{{0, 5}, {6, 2}})
 }
 
@@ -162,86 +162,7 @@ func TestRestoreCorruptData(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyFixedCheckpointIntoDaba replays the pre-backend
-// checkpoint layout: version-1 frames with no Backend field decode as
-// BackendAuto, and their Fixed-mode Buckets are in rotating leaf-position
-// order with a Victim cursor marking the oldest bucket. An auto config
-// now resolves those restores to the DABA backend, which expects window
-// order — the buckets must be rotated by Victim first, or every later
-// slide evicts the wrong bucket and silently corrupts the aggregate.
-func TestRestoreLegacyFixedCheckpointIntoDaba(t *testing.T) {
-	job := wordCountJob()
-	cfg := Config{Mode: Fixed, BucketSplits: 2, WindowBuckets: 4, Memo: testMemoConfig()}
-	rotCfg := cfg
-	rotCfg.Backend = BackendRotating
-	original, err := New(job, rotCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	window := genSplits(0, 8, 4, 7)
-	next := 8
-	if _, err := original.Initial(window); err != nil {
-		t.Fatal(err)
-	}
-	// Three one-bucket slides leave the rotating victim cursor at 3: a
-	// legacy frame restored without rotation is maximally mis-ordered.
-	for _, s := range []slide{{2, 2}, {2, 2}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		if _, err := original.Advance(s.drop, add); err != nil {
-			t.Fatal(err)
-		}
-		window = append(window[s.drop:], add...)
-	}
-
-	var buf bytes.Buffer
-	if err := original.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var st checkpointState
-	if err := persist.Decode(buf.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != BackendRotating {
-		t.Fatalf("checkpoint backend = %v, want %v", st.Backend, BackendRotating)
-	}
-	victims := 0
-	for _, pc := range st.Partitions {
-		if pc.Victim != 0 {
-			victims++
-		}
-	}
-	if victims == 0 {
-		t.Fatal("test needs a nonzero victim cursor to exercise the rotation")
-	}
-	// A pre-backend frame has no Backend field, which gob decodes as the
-	// zero value: BackendAuto.
-	st.Backend = BackendAuto
-	frame, err := persist.Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restored, err := Restore(wordCountJob(), cfg, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := restored.Backend(); got != BackendDaba {
-		t.Fatalf("restored backend = %v, want %v", got, BackendDaba)
-	}
-	for i, s := range []slide{{2, 2}, {2, 2}, {4, 4}, {2, 2}} {
-		add := genSplits(next, s.add, 4, 7)
-		next += s.add
-		res, err := restored.Advance(s.drop, add)
-		if err != nil {
-			t.Fatalf("restored slide %d: %v", i, err)
-		}
-		window = append(window[s.drop:], add...)
-		wantSameOutput(t, res.Output, scratch(t, job, window))
-	}
-}
-
-// TestRestoreLegacyVictimOutOfRange rejects a legacy frame whose Victim
+// TestRestoreLegacyVictimOutOfRange rejects a rotating frame whose Victim
 // cursor does not address a bucket instead of restoring a garbled window.
 func TestRestoreLegacyVictimOutOfRange(t *testing.T) {
 	job := wordCountJob()
@@ -263,7 +184,6 @@ func TestRestoreLegacyVictimOutOfRange(t *testing.T) {
 	if err := persist.Decode(buf.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
-	st.Backend = BackendAuto
 	for p := range st.Partitions {
 		buckets, err := persist.DecodePayloadSet(st.Partitions[p].FlatBuckets)
 		if err != nil {

@@ -34,8 +34,8 @@ const (
 	// rotating contraction tree (§4.1) — see Backend.
 	Fixed
 	// Variable is the general mode: the window may shrink and grow by
-	// arbitrary, different amounts. Uses folding trees (§3.1) or
-	// randomized folding trees (§3.2).
+	// arbitrary, different amounts. Uses folding trees (§3.1) or, with
+	// BackendRandomizedFolding, randomized folding trees (§3.2).
 	Variable
 )
 
@@ -71,9 +71,6 @@ type Config struct {
 	Mode Mode
 	// Engine selects self-adjusting trees (default) or the strawman.
 	Engine Engine
-	// Randomized switches Variable mode to the randomized folding tree
-	// of §3.2.
-	Randomized bool
 	// Backend overrides the automatic backend selection (see the Backend
 	// type's selection matrix). The zero value, BackendAuto, resolves to
 	// the cheapest structure legal for the mode and the job's declared
@@ -82,14 +79,6 @@ type Config struct {
 	// explicit backend incompatible with the mode or combiner makes New
 	// fail with ErrBadBackend.
 	Backend Backend
-	// SwitchHook, when set on a Fixed-mode runtime, is consulted after
-	// every completed slide with the current backend and a snapshot of
-	// the contract-phase latency histogram (Obs.Contract; zero-valued
-	// when Obs is nil). Returning a different backend asks the runtime
-	// to switch live between BackendDaba and BackendRotating; the window
-	// state carries over and the switch is skipped when the target is
-	// illegal for the job. Any other return value is ignored.
-	SwitchHook func(cur Backend, contract metrics.HistogramSnapshot) Backend
 	// SplitProcessing enables the background pre-processing of §4 for
 	// Append and Fixed modes.
 	SplitProcessing bool

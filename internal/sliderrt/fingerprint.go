@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-
-	"slider/internal/core"
 )
 
 // StateFingerprint returns a canonical hash of the runtime's window
-// state — the same state Checkpoint persists: per-partition tree
-// payloads plus the window bookkeeping. Payload maps are hashed in
+// state — the same state Checkpoint persists: per-partition window
+// snapshots plus the window bookkeeping. Payload maps are hashed in
 // sorted-key order, so two runtimes holding identical logical state
 // fingerprint identically regardless of map iteration order, codec
 // framing, or the parallelism they were computed at. Harnesses use it
@@ -47,11 +45,11 @@ func (rt *Runtime) StateFingerprint() uint64 {
 			payload(p)
 		}
 	}
-	items := func(list []core.Item[Payload]) {
-		u64(uint64(len(list)))
-		for _, it := range list {
-			u64(it.ID)
-			payload(it.Payload)
+	flag := func(b bool) {
+		if b {
+			u64(1)
+		} else {
+			u64(0)
 		}
 	}
 
@@ -59,55 +57,29 @@ func (rt *Runtime) StateFingerprint() uint64 {
 	u64(rt.windowLo)
 	u64(uint64(rt.live))
 	u64(uint64(rt.backend))
-	for p := 0; p < rt.parts; p++ {
-		switch {
-		case rt.cfg.Engine == Strawman:
-			items(rt.leaves[p])
-		case rt.cfg.Mode == Append:
-			root, hasRoot := rt.coal[p].Root()
-			pending, hasPending := rt.coal[p].PendingPayload()
-			if hasRoot {
-				payload(root)
-			} else {
-				u64(0)
-			}
-			if hasPending {
-				payload(pending)
-			} else {
-				u64(0)
-			}
-		case rt.cfg.Mode == Fixed:
-			var buckets []Payload
-			var filled bool
-			switch rt.backend {
-			case BackendDaba:
-				buckets, filled = rt.daba[p].BucketPayloads()
-			case BackendFingerTree:
-				buckets, filled = rt.finger[p].BucketPayloads()
-				if p == 0 {
-					// The bucket ledger and watermark clock are part of the
-					// logical window state (shared across partitions, so
-					// hashed once).
-					u64(uint64(len(rt.bucketSizes)))
-					for _, sz := range rt.bucketSizes {
-						u64(uint64(sz))
-					}
-					u64(rt.bucketSeq)
-				}
-			default:
-				buckets, filled = rt.rot[p].BucketPayloads()
-				u64(uint64(rt.rot[p].Victim()))
-			}
-			if filled {
-				u64(1)
-			} else {
-				u64(0)
-			}
-			payloads(buckets)
-		case rt.cfg.Randomized:
-			items(rt.rnd[p].Items())
-		default:
-			payloads(rt.fold[p].Payloads())
+	// The finger tree's bucket ledger and watermark clock are part of the
+	// logical window state (empty on every other backend).
+	u64(uint64(len(rt.bucketSizes)))
+	for _, sz := range rt.bucketSizes {
+		u64(uint64(sz))
+	}
+	u64(rt.bucketSeq)
+	for _, w := range rt.windows {
+		st := w.Snapshot()
+		flag(st.HasRoot)
+		if st.HasRoot {
+			payload(st.Root)
+		}
+		flag(st.HasPending)
+		if st.HasPending {
+			payload(st.Pending)
+		}
+		payloads(st.Buckets)
+		u64(uint64(st.Victim))
+		payloads(st.Leaves)
+		u64(uint64(len(st.IDs)))
+		for _, id := range st.IDs {
+			u64(id)
 		}
 	}
 	return h.Sum64()

@@ -17,7 +17,7 @@ func parallelCases() map[string]Config {
 		"fixed":       {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8},
 		"fixed-split": {Mode: Fixed, BucketSplits: 2, WindowBuckets: 8, SplitProcessing: true},
 		"variable":    {Mode: Variable},
-		"randomized":  {Mode: Variable, Randomized: true, Seed: 7},
+		"randomized":  {Mode: Variable, Backend: BackendRandomizedFolding, Seed: 7},
 		"strawman":    {Mode: Variable, Engine: Strawman},
 	}
 }

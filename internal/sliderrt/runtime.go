@@ -51,7 +51,7 @@ type RunResult struct {
 type Runtime struct {
 	job     *mapreduce.Job
 	cfg     Config
-	backend Backend // resolved aggregation backend (may live-switch)
+	backend Backend // resolved aggregation backend
 	store   *memo.Store
 	parts   int
 	faults  *metrics.FaultRecorder
@@ -67,14 +67,8 @@ type Runtime struct {
 	// phase can run partitions concurrently.
 	combines []int64
 
-	coal   []*core.CoalescingTree[Payload]
-	rot    []*core.RotatingTree[Payload]
-	daba   []*core.DabaLite[Payload]
-	fold   []*core.FoldingTree[Payload]
-	rnd    []*core.RandomizedFoldingTree[Payload]
-	straw  []*core.StrawmanTree[Payload]
-	finger []*core.FingerTree[Payload]
-	leaves [][]core.Item[Payload] // strawman window leaves per partition
+	// windows[p] is partition p's aggregation structure (see newWindows).
+	windows []core.Window[Payload]
 
 	// Out-of-order (finger-tree) bucket ledger: splits per live bucket in
 	// window order, oldest first — late buckets may be narrower than w —
@@ -83,11 +77,6 @@ type Runtime struct {
 	// effective watermark max(cfg.Watermark, bucketSeq−AllowedLateness).
 	bucketSizes []int
 	bucketSeq   uint64
-	oooEvict    int // buckets the in-flight Advance evicts (partition goroutines read only)
-
-	// Fixed+split: per-partition buckets awaiting background install.
-	pendingBuckets []Payload
-	hasPending     bool
 
 	// treeSnap is the immutable tree snapshot served to concurrent
 	// readers (/debug/tree); snapReq asks the next slide to refresh it.
@@ -316,7 +305,7 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 		return nil, err
 	}
 	mapPh.end()
-	rt.allocTrees()
+	rt.windows = rt.newWindows()
 	statsBefore := rt.treeStats()
 
 	contractPh := so.phase("contract")
@@ -324,54 +313,11 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
-		switch rt.backend {
-		case BackendStrawman:
-			rt.leaves[p] = makeItems(baseSeq, payloads)
-			rt.straw[p].Build(rt.leaves[p])
-			if root, ok := rt.straw[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
-		case BackendCoalescing:
-			c1 := rt.foldPayloads(p, payloads)
-			root := rt.coal[p].Append(c1)
-			roots[p] = []Payload{root}
-		case BackendDaba:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.daba[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.daba[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
-		case BackendFingerTree:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.finger[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.finger[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
-		case BackendRotating:
-			buckets := rt.formBuckets(p, payloads)
-			if err := rt.rot[p].Init(buckets); err != nil {
-				return err
-			}
-			if root, ok := rt.rot[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
-		case BackendRandomizedFolding:
-			rt.rnd[p].Init(makeItems(baseSeq, payloads))
-			if root, ok := rt.rnd[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
-		default:
-			rt.fold[p].Init(payloads)
-			if root, ok := rt.fold[p].Root(); ok {
-				roots[p] = []Payload{root}
-			}
+		treeBefore := rt.windows[p].Stats()
+		if err := rt.windows[p].Build(rt.units(p, baseSeq, partPayloads(results, p))); err != nil {
+			return err
 		}
+		roots[p] = rt.windows[p].Roots()
 		// The initial run materializes every tree node into the
 		// memoization layer — the paper's Figure 13 overhead — and
 		// registers the partition's root-path entry that every later
@@ -393,21 +339,11 @@ func (rt *Runtime) Initial(splits []mapreduce.Split) (*RunResult, error) {
 	rt.recordTreeCounters(rec, statsDelta(statsBefore, statsFg))
 
 	// Split processing: pave the way for the first incremental run.
-	if rt.cfg.SplitProcessing && rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting {
-		bgSpan := so.span.Child("background")
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			if err := rt.rot[p].PrepareBackground(); err != nil {
-				return nil, err
-			}
-			bg.RecordTask(metrics.Task{
-				Phase:         metrics.PhaseContraction,
-				Cost:          time.Since(start),
-				PreferredNode: rt.partNode(p),
-			})
-		}
-		bgSpan.End()
+	bgSpan := so.span.Child("background")
+	if err := rt.runBackground(bg); err != nil {
+		return nil, err
 	}
+	bgSpan.End()
 
 	if rt.backend == BackendFingerTree {
 		rt.bucketSizes = make([]int, rt.cfg.WindowBuckets)
@@ -437,14 +373,17 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	if err := rt.checkAdvance(drop, len(add)); err != nil {
 		return nil, err
 	}
+	// The drop in window units: whole buckets for the fixed-width
+	// structures. On the finger tree it must consume whole oldest buckets
+	// of the ledger (late buckets may be narrower than w, so the count is
+	// not drop/w).
+	dropUnits := drop / rt.unitSplits()
 	if rt.backend == BackendFingerTree {
-		// drop must consume whole oldest buckets of the ledger (late
-		// buckets may be narrower than w, so the count is not drop/w).
 		k, err := rt.evictBucketCount(drop)
 		if err != nil {
 			return nil, err
 		}
-		rt.oooEvict = k
+		dropUnits = k
 	}
 	rec := metrics.NewRecorder()
 	bg := metrics.NewRecorder()
@@ -464,24 +403,16 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	rt.windowLo += uint64(drop)
 	rt.live -= drop
 
-	rt.pendingBuckets = make([]Payload, rt.parts)
-	// A single-bucket slide in Fixed+split mode takes the pre-combined
-	// foreground path; the decision is uniform across partitions and
-	// made here so partition goroutines only read it.
-	rt.hasPending = rt.cfg.Mode == Fixed && rt.cfg.Engine == SelfAdjusting &&
-		rt.cfg.SplitProcessing && len(add) == rt.cfg.BucketSplits
 	contractPh := so.phase("contract")
 	roots := make([][]Payload, rt.parts)
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
-		var err error
-		roots[p], err = rt.advancePartition(p, drop, baseSeq, payloads)
-		if err != nil {
+		treeBefore := rt.windows[p].Stats()
+		if err := rt.windows[p].Slide(dropUnits, rt.units(p, baseSeq, partPayloads(results, p))); err != nil {
 			return err
 		}
+		roots[p] = rt.windows[p].Roots()
 		elapsed := time.Since(start)
 		// Read last run's memoized root-path state, then rewrite the
 		// recomputed nodes: one new root for append-only windows, roughly
@@ -499,7 +430,7 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	contractPh.end()
 	if rt.backend == BackendFingerTree {
 		w := rt.cfg.BucketSplits
-		rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[rt.oooEvict:]...)
+		rt.bucketSizes = append(rt.bucketSizes[:0], rt.bucketSizes[dropUnits:]...)
 		for i := 0; i < len(add)/w; i++ {
 			rt.bucketSizes = append(rt.bucketSizes, w)
 		}
@@ -512,7 +443,9 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	statsFg := rt.treeStats()
 	rt.recordTreeCounters(rec, statsDelta(statsBefore, statsFg))
 	bgSpan := so.span.Child("background")
-	rt.runBackground(bg)
+	if err := rt.runBackground(bg); err != nil {
+		return nil, err
+	}
 	bgSpan.End()
 	rt.store.GC(rt.windowLo)
 	if rt.cfg.GCPolicy != nil {
@@ -522,9 +455,6 @@ func (rt *Runtime) Advance(drop int, add []mapreduce.Split) (*RunResult, error) 
 	res.TreeStatsBackground = statsDelta(statsFg, rt.treeStats())
 	res.TreeStats = statsDelta(statsBefore, statsFg)
 	so.finish(res)
-	// After the slide's stats deltas are sealed: a backend switch here
-	// resets tree counters, and the next Advance reads a fresh baseline.
-	rt.maybeSwitchBackend()
 	return res, nil
 }
 
@@ -587,15 +517,12 @@ func (rt *Runtime) AdvanceLate(lateness int, late []mapreduce.Split) (*RunResult
 	if err := rt.forEachPartition(func(p int) error {
 		start := time.Now()
 		ps := partitionSpan(contractPh.span, p)
-		treeBefore := rt.partitionTreeStats(p)
-		payloads := partPayloads(results, p)
-		bucket := rt.foldPayloads(p, payloads)
-		if err := rt.finger[p].InsertAt(pos, bucket); err != nil {
+		treeBefore := rt.windows[p].Stats()
+		bucket := rt.foldPayloads(p, partPayloads(results, p))
+		if err := rt.windows[p].(core.OutOfOrderWindow[Payload]).InsertAt(pos, bucket); err != nil {
 			return err
 		}
-		if root, ok := rt.finger[p].Root(); ok {
-			roots[p] = []Payload{root}
-		}
+		roots[p] = rt.windows[p].Roots()
 		elapsed := time.Since(start)
 		rt.chargeStateRead(p, roots[p])
 		writeNs := rt.putPartState(p, roots[p])
@@ -661,136 +588,28 @@ func statsDelta(before, after core.Stats) core.Stats {
 	}
 }
 
-// advancePartition updates one partition's tree and returns the payloads
-// the final reduce consumes.
-func (rt *Runtime) advancePartition(p, drop int, baseSeq uint64, payloads []Payload) ([]Payload, error) {
-	if rt.backend == BackendStrawman {
-		rt.leaves[p] = append(rt.leaves[p][:0], rt.leaves[p][drop:]...)
-		rt.leaves[p] = append(rt.leaves[p], makeItems(baseSeq, payloads)...)
-		rt.straw[p].Build(rt.leaves[p])
-		if root, ok := rt.straw[p].Root(); ok {
-			return []Payload{root}, nil
+// runBackground performs the background pre-processing that split
+// windows deferred, recording its cost separately (Figure 11).
+func (rt *Runtime) runBackground(bg *metrics.Recorder) error {
+	for p, w := range rt.windows {
+		sw, ok := w.(core.SplitWindow[Payload])
+		if !ok {
+			continue
 		}
-		return nil, nil
-	}
-	switch rt.cfg.Mode {
-	case Append:
-		cNew := rt.foldPayloads(p, payloads)
-		if rt.cfg.SplitProcessing {
-			return rt.coal[p].AppendSplit(cNew), nil
+		start := time.Now()
+		did, err := sw.Background()
+		if err != nil {
+			return err
 		}
-		return []Payload{rt.coal[p].Append(cNew)}, nil
-	case Fixed:
-		buckets := rt.formBuckets(p, payloads)
-		if rt.backend == BackendFingerTree {
-			// Bulk path: one split for the K evicted buckets, one
-			// build+join for the K new ones — O(K + log w) combines
-			// instead of K root-path slides.
-			if err := rt.finger[p].BulkEvict(rt.oooEvict); err != nil {
-				return nil, err
-			}
-			if err := rt.finger[p].BulkInsert(buckets); err != nil {
-				return nil, err
-			}
-			if root, ok := rt.finger[p].Root(); ok {
-				return []Payload{root}, nil
-			}
-			return nil, nil
-		}
-		if rt.backend == BackendDaba {
-			// O(1) in-order fast path: each bucket slide costs a bounded
-			// constant number of combines, independent of WindowBuckets.
-			for _, b := range buckets {
-				if err := rt.daba[p].Slide(b); err != nil {
-					return nil, err
-				}
-			}
-			if root, ok := rt.daba[p].Root(); ok {
-				return []Payload{root}, nil
-			}
-			return nil, nil
-		}
-		if rt.hasPending {
-			fg, err := rt.rot[p].RotateForeground(buckets[0])
-			if err != nil {
-				return nil, err
-			}
-			rt.pendingBuckets[p] = buckets[0]
-			return []Payload{fg}, nil
-		}
-		for _, b := range buckets {
-			if err := rt.rot[p].Rotate(b); err != nil {
-				return nil, err
-			}
-		}
-		if rt.cfg.SplitProcessing {
-			// Multi-bucket slides fall back to in-place rotation;
-			// re-prepare so the next single-bucket slide stays fast.
-			if err := rt.rot[p].PrepareBackground(); err != nil {
-				return nil, err
-			}
-		}
-		if root, ok := rt.rot[p].Root(); ok {
-			return []Payload{root}, nil
-		}
-		return nil, nil
-	default: // Variable
-		if rt.backend == BackendRandomizedFolding {
-			if err := rt.rnd[p].Slide(drop, makeItems(baseSeq, payloads)); err != nil {
-				return nil, err
-			}
-			if root, ok := rt.rnd[p].Root(); ok {
-				return []Payload{root}, nil
-			}
-			return nil, nil
-		}
-		if err := rt.fold[p].Slide(drop, payloads); err != nil {
-			return nil, err
-		}
-		if root, ok := rt.fold[p].Root(); ok {
-			return []Payload{root}, nil
-		}
-		return nil, nil
-	}
-}
-
-// runBackground performs the deferred background pre-processing of split
-// mode, recording its cost separately (Figure 11).
-func (rt *Runtime) runBackground(bg *metrics.Recorder) {
-	if !rt.cfg.SplitProcessing || rt.cfg.Engine == Strawman {
-		return
-	}
-	switch rt.cfg.Mode {
-	case Append:
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			rt.coal[p].Background()
+		if did {
 			bg.RecordTask(metrics.Task{
 				Phase:         metrics.PhaseContraction,
 				Cost:          time.Since(start),
 				PreferredNode: rt.partNode(p),
 			})
 		}
-	case Fixed:
-		if !rt.hasPending {
-			return
-		}
-		for p := 0; p < rt.parts; p++ {
-			start := time.Now()
-			// Background installs the bucket and pre-combines for the
-			// next slide.
-			if err := rt.rot[p].Background(rt.pendingBuckets[p]); err != nil {
-				return
-			}
-			bg.RecordTask(metrics.Task{
-				Phase:         metrics.PhaseContraction,
-				Cost:          time.Since(start),
-				PreferredNode: rt.partNode(p),
-			})
-		}
-		rt.pendingBuckets = nil
-		rt.hasPending = false
 	}
+	return nil
 }
 
 // reduceAll applies the final Reduce per partition, timed as reduce tasks.
@@ -927,19 +746,29 @@ func (rt *Runtime) checkAdvance(drop, add int) error {
 	return nil
 }
 
-// formBuckets groups partition p's per-split payloads into buckets of w
-// splits each.
-func (rt *Runtime) formBuckets(p int, payloads []Payload) []Payload {
-	w := rt.cfg.BucketSplits
-	buckets := make([]Payload, 0, (len(payloads)+w-1)/w)
-	for i := 0; i < len(payloads); i += w {
-		end := i + w
-		if end > len(payloads) {
-			end = len(payloads)
-		}
-		buckets = append(buckets, rt.foldPayloads(p, payloads[i:end]))
+// unitSplits is the number of splits in one window unit: a bucket of w
+// for the fixed-width structures, one split otherwise.
+func (rt *Runtime) unitSplits() int {
+	if rt.cfg.Mode == Fixed && rt.backend != BackendStrawman {
+		return rt.cfg.BucketSplits
 	}
-	return buckets
+	return 1
+}
+
+// units groups partition p's per-split payloads into window units, each
+// tagged with the sequence number of its first split (base is the first
+// payload's). A multi-split bucket is folded with the K-way merge.
+func (rt *Runtime) units(p int, base uint64, payloads []Payload) []core.Item[Payload] {
+	w := rt.unitSplits()
+	out := make([]core.Item[Payload], 0, (len(payloads)+w-1)/w)
+	for i := 0; i < len(payloads); i += w {
+		pl := payloads[i]
+		if w > 1 {
+			pl = rt.foldPayloads(p, payloads[i:min(i+w, len(payloads))])
+		}
+		out = append(out, core.Item[Payload]{ID: base + uint64(i), Payload: pl})
+	}
+	return out
 }
 
 // forEachPartition runs fn(p) for every partition, concurrently up to the
@@ -982,125 +811,27 @@ func (rt *Runtime) forEachPartition(fn func(p int) error) error {
 	return nil
 }
 
-// allocTrees instantiates the per-partition trees for the configuration,
-// each wired to its share of the parallelism budget so partition-level
-// and intra-tree concurrency compose. Coalescing trees have no internal
-// levels (their fold-up of new splits is parallelized in foldPayloads).
-func (rt *Runtime) allocTrees() {
-	n := rt.parts
-	treePar := rt.treeParallelism()
-	rt.combines = make([]int64, n)
-	// Drop any previous backend's structures: allocTrees also re-homes
-	// the runtime on a live backend switch.
-	rt.coal, rt.rot, rt.daba, rt.fold, rt.rnd = nil, nil, nil, nil, nil
-	rt.straw, rt.finger, rt.leaves = nil, nil, nil
-	switch rt.backend {
-	case BackendStrawman:
-		rt.straw = make([]*core.StrawmanTree[Payload], n)
-		rt.leaves = make([][]core.Item[Payload], n)
-		for p := range rt.straw {
-			rt.straw[p] = core.NewStrawman(rt.mergeFor(p))
-			rt.straw[p].SetParallelism(treePar)
-		}
-	case BackendCoalescing:
-		rt.coal = make([]*core.CoalescingTree[Payload], n)
-		for p := range rt.coal {
-			rt.coal[p] = core.NewCoalescing(rt.mergeFor(p))
-		}
-	case BackendDaba:
-		rt.daba = make([]*core.DabaLite[Payload], n)
-		for p := range rt.daba {
-			rt.daba[p] = core.NewDaba(rt.mergeFor(p), rt.cfg.WindowBuckets)
-		}
-	case BackendFingerTree:
-		rt.finger = make([]*core.FingerTree[Payload], n)
-		for p := range rt.finger {
-			rt.finger[p] = core.NewFingerTree(rt.mergeFor(p))
-		}
-	case BackendRotating:
-		rt.rot = make([]*core.RotatingTree[Payload], n)
-		for p := range rt.rot {
-			rt.rot[p] = core.NewRotating(rt.mergeFor(p), rt.cfg.WindowBuckets)
-			rt.rot[p].SetParallelism(treePar)
-		}
-	case BackendRandomizedFolding:
-		rt.rnd = make([]*core.RandomizedFoldingTree[Payload], n)
-		for p := range rt.rnd {
-			rt.rnd[p] = core.NewRandomizedFolding(rt.mergeFor(p), rt.cfg.Seed+uint64(p)+1)
-			rt.rnd[p].SetParallelism(treePar)
-		}
-	default: // BackendFolding
-		rt.fold = make([]*core.FoldingTree[Payload], n)
-		factor := rt.cfg.RebuildFactor
-		for p := range rt.fold {
-			opts := []core.FoldingOption[Payload]{core.WithParallelism[Payload](treePar)}
-			if factor < 0 {
-				opts = append(opts, core.WithRebuildFactor[Payload](0))
-			} else if factor > 0 {
-				opts = append(opts, core.WithRebuildFactor[Payload](factor))
-			}
-			rt.fold[p] = core.NewFolding(rt.mergeFor(p), opts...)
-		}
-	}
-}
-
 // partitionTreeBytes sums the payload bytes materialized by partition p's
-// tree.
+// window.
 func (rt *Runtime) partitionTreeBytes(p int) int64 {
 	var total int64
-	count := func(pl Payload) { total += mapreduce.PayloadBytes(rt.job, pl) }
-	switch {
-	case rt.straw != nil:
-		rt.straw[p].ForEachPayload(count)
-	case rt.coal != nil:
-		rt.coal[p].ForEachPayload(count)
-	case rt.rot != nil:
-		rt.rot[p].ForEachPayload(count)
-	case rt.daba != nil:
-		rt.daba[p].ForEachPayload(count)
-	case rt.finger != nil:
-		rt.finger[p].ForEachPayload(count)
-	case rt.rnd != nil:
-		rt.rnd[p].ForEachPayload(count)
-	case rt.fold != nil:
-		rt.fold[p].ForEachPayload(count)
-	}
+	rt.windows[p].ForEachPayload(func(pl Payload) { total += mapreduce.PayloadBytes(rt.job, pl) })
 	return total
 }
 
-// treeStats sums the work counters across all partitions' trees.
+// treeStats sums the work counters across all partitions' windows.
 func (rt *Runtime) treeStats() core.Stats {
 	var total core.Stats
-	addStats := func(s core.Stats) {
+	for _, w := range rt.windows {
+		s := w.Stats()
 		total.Merges += s.Merges
 		total.NodesRecomputed += s.NodesRecomputed
 		total.NodesReused += s.NodesReused
 	}
-	for _, t := range rt.coal {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.rot {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.daba {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.finger {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.fold {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.rnd {
-		addStats(t.Stats())
-	}
-	for _, t := range rt.straw {
-		addStats(t.Stats())
-	}
 	return total
 }
 
-// spaceBytes sums all memoized state: tree payloads plus cached map
+// spaceBytes sums all memoized state: window payloads plus cached map
 // outputs. The walk re-measures payloads with mapreduce.PayloadBytes —
 // arithmetic over entries, no allocation — which replaced the retired
 // identity-keyed size cache (see DESIGN.md §14): the byte-shaped state
@@ -1108,30 +839,11 @@ func (rt *Runtime) treeStats() core.Stats {
 // here and in the per-slide root-path estimates.
 func (rt *Runtime) spaceBytes() int64 {
 	var total int64
-	count := func(p Payload) { total += mapreduce.PayloadBytes(rt.job, p) }
-	for _, t := range rt.coal {
-		t.ForEachPayload(count)
+	count := func(pl Payload) { total += mapreduce.PayloadBytes(rt.job, pl) }
+	for _, w := range rt.windows {
+		w.ForEachPayload(count)
 	}
-	for _, t := range rt.rot {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.daba {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.finger {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.fold {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.rnd {
-		t.ForEachPayload(count)
-	}
-	for _, t := range rt.straw {
-		t.ForEachPayload(count)
-	}
-	total += rt.store.Stats().Bytes
-	return total
+	return total + rt.store.Stats().Bytes
 }
 
 // finish assembles the RunResult. Callers overwrite TreeStats /
@@ -1156,15 +868,6 @@ func partPayloads(results []mapreduce.MapResult, p int) []Payload {
 		out[i] = r.Parts[p]
 	}
 	return out
-}
-
-// makeItems pairs payloads with their split sequence IDs.
-func makeItems(base uint64, payloads []Payload) []core.Item[Payload] {
-	items := make([]core.Item[Payload], len(payloads))
-	for i, p := range payloads {
-		items[i] = core.Item[Payload]{ID: base + uint64(i), Payload: p}
-	}
-	return items
 }
 
 // Store exposes the memoization layer (for fault injection in tests and

@@ -156,7 +156,7 @@ func TestVariableModeFolding(t *testing.T) {
 }
 
 func TestVariableModeRandomized(t *testing.T) {
-	cfg := Config{Mode: Variable, Randomized: true, Seed: 11}
+	cfg := Config{Mode: Variable, Backend: BackendRandomizedFolding, Seed: 11}
 	driveAndCheck(t, cfg, 8, []slide{{3, 1}, {0, 5}, {6, 2}, {1, 0}, {5, 3}})
 }
 
@@ -255,9 +255,7 @@ func TestBackendSelectionMatrix(t *testing.T) {
 		{"append-auto", Config{Mode: Append}, BackendCoalescing, false},
 		{"append-daba", Config{Mode: Append, Backend: BackendDaba}, 0, true},
 		{"variable-auto", Config{Mode: Variable}, BackendFolding, false},
-		{"variable-randomized", Config{Mode: Variable, Randomized: true}, BackendRandomizedFolding, false},
 		{"variable-randomized-override", Config{Mode: Variable, Backend: BackendRandomizedFolding}, BackendRandomizedFolding, false},
-		{"variable-conflict", Config{Mode: Variable, Randomized: true, Backend: BackendFolding}, 0, true},
 		{"variable-daba", Config{Mode: Variable, Backend: BackendDaba}, 0, true},
 		{"strawman", Config{Mode: Fixed, Engine: Strawman, BucketSplits: 1, WindowBuckets: 2}, BackendStrawman, false},
 		{"strawman-daba", Config{Mode: Fixed, Engine: Strawman, Backend: BackendDaba, BucketSplits: 1, WindowBuckets: 2}, 0, true},

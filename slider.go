@@ -31,8 +31,9 @@
 // Three window modes select the contraction tree (§3–§4 of the paper):
 // Append (coalescing trees), Fixed (rotating trees with optional split
 // processing), and Variable (folding trees, or randomized folding trees
-// with Config.Randomized). Config.Engine = Strawman selects the
-// memoization-only baseline the paper evaluates against.
+// with Config.Backend = BackendRandomizedFolding). Config.Engine =
+// Strawman selects the memoization-only baseline the paper evaluates
+// against.
 //
 // The query layer compiles Pig-Latin-like scripts into pipelines of
 // MapReduce jobs executed incrementally with multi-level trees (§5); see
@@ -145,24 +146,6 @@ var (
 	// target bucket sequence below Config.Watermark.
 	ErrTooLate = sliderrt.ErrTooLate
 )
-
-// SwitchPolicyConfig configures ContractQuantileSwitchPolicy.
-type SwitchPolicyConfig = sliderrt.SwitchPolicyConfig
-
-// ContractQuantileSwitchPolicy builds a Config.SwitchHook that moves a
-// Fixed-mode runtime between the daba and rotating backends when the
-// per-slide contract-phase latency quantile crosses its thresholds for
-// several consecutive slides (hysteresis). Pair it with Config.Obs.
-func ContractQuantileSwitchPolicy(cfg SwitchPolicyConfig) (func(cur Backend, contract HistogramSnapshot) Backend, error) {
-	return sliderrt.ContractQuantileSwitchPolicy(cfg)
-}
-
-// ParseSwitchPolicy parses the daemons' -switch-policy flag syntax
-// ("p95:high=20ms,low=5ms,n=3") into a ready Config.SwitchHook; an empty
-// string yields a nil hook (policy disabled).
-func ParseSwitchPolicy(s string) (func(cur Backend, contract HistogramSnapshot) Backend, error) {
-	return sliderrt.ParseSwitchPolicy(s)
-}
 
 // New returns a Runtime executing job under cfg.
 func New(job *Job, cfg Config) (*Runtime, error) { return sliderrt.New(job, cfg) }
@@ -343,8 +326,7 @@ type (
 	TraceMode = metrics.TraceMode
 	// Histogram is a fixed-bucket, mergeable latency histogram.
 	Histogram = metrics.Histogram
-	// HistogramSnapshot is an immutable copy of a Histogram's counts;
-	// Config.SwitchHook receives one for the contract phase.
+	// HistogramSnapshot is an immutable copy of a Histogram's counts.
 	HistogramSnapshot = metrics.HistogramSnapshot
 	// FaultStats is a snapshot of fault-tolerance event counters and
 	// RPC latency quantiles.
